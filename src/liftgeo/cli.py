@@ -348,10 +348,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _check_search_bounds(args: argparse.Namespace) -> None:
+    """Reject search bounds that would silently skip the search."""
+    if args.window < 0:
+        raise InvalidInputError(f"--window must be >= 0, got {args.window}")
+    if getattr(args, "tmax", 1) < 1:
+        raise InvalidInputError(f"--tmax must be >= 1, got {args.tmax}")
+
+
 def main(argv: Optional[list[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_search_bounds(args)
         return args.func(args)
     except ParseError as exc:
         sys.stderr.write(f"parse error: {exc}\n")

@@ -12,6 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Optional, Sequence
 
 from .bodies import SFreeBody
@@ -20,7 +21,9 @@ from .errors import (
     InconclusiveSearchError,
     InvalidInputError,
     UnboundedInputError,
+    UnsupportedSError,
 )
+from .gauge import psi_value
 from .geom import (
     HPolyhedron,
     RationalVec,
@@ -57,14 +60,6 @@ class CoverageReport:
     fragments: tuple[Fragment, ...]
 
 
-def _ceil_frac(v: Fraction) -> int:
-    return -((-v.numerator) // v.denominator)
-
-
-def _floor_frac(v: Fraction) -> int:
-    return v.numerator // v.denominator
-
-
 # ---------------------------------------------------------------------------
 # Exact union area of convex polygons (vertical sweep decomposition)
 # ---------------------------------------------------------------------------
@@ -93,17 +88,22 @@ def _segment_crossing_xs(edges: list[tuple[RationalVec, RationalVec]]) -> set[Fr
     return out
 
 
-def union_area_sweep(polys: Sequence[HPolyhedron]) -> Fraction:
-    """Exact area of the union of bounded convex polygons."""
+def _union_sweep(polys: Sequence[HPolyhedron]) -> tuple[Fraction, Optional[RationalVec]]:
+    """Exact union area of bounded convex polygons, and the first point of
+    the unit square that polygons inside it leave uncovered (None if none).
+
+    The slabs are cut at 0, 1, every vertex and every edge crossing, so no
+    edges cross inside a slab and each polygon spans an interval of y that
+    varies linearly in x.  The uncovered point is the midpoint of the first
+    gap between merged spans, on the midline of the first slab that has one.
+    """
     shapes: list[list[RationalVec]] = []
     for P in polys:
         vs = _polygon_vertices(P)
         if len(vs) >= 3:
             shapes.append(vs)
-    if not shapes:
-        return Fraction(0)
     edges: list[tuple[RationalVec, RationalVec]] = []
-    xs: set[Fraction] = set()
+    xs: set[Fraction] = {Fraction(0), Fraction(1)}
     for vs in shapes:
         for i, p in enumerate(vs):
             q = vs[(i + 1) % len(vs)]
@@ -112,9 +112,8 @@ def union_area_sweep(polys: Sequence[HPolyhedron]) -> Fraction:
     xs |= _segment_crossing_xs(edges)
     cuts = sorted(xs)
     total = Fraction(0)
+    gap: Optional[RationalVec] = None
     for x0, x1 in zip(cuts, cuts[1:]):
-        if x0 == x1:
-            continue
         xm = (x0 + x1) / 2
         items = []
         for vs in shapes:
@@ -131,23 +130,29 @@ def union_area_sweep(polys: Sequence[HPolyhedron]) -> Fraction:
             if not spans:
                 continue
             items.append((min(spans), max(spans)))
-        if not items:
-            continue
         items.sort(key=lambda it: (it[0][0], it[1][0]))
-        comp_bot, comp_top = None, None
+        merged: list[tuple[tuple, tuple]] = []
         for bot, top in items:
-            if comp_bot is None:
-                comp_bot, comp_top = bot, top
-                continue
-            if bot[0] <= comp_top[0]:
-                if top[0] > comp_top[0]:
-                    comp_top = top
+            if merged and bot[0] <= merged[-1][1][0]:
+                if top[0] > merged[-1][1][0]:
+                    merged[-1] = (merged[-1][0], top)
             else:
-                total += (x1 - x0) * ((comp_top[1] - comp_bot[1]) + (comp_top[2] - comp_bot[2])) / 2
-                comp_bot, comp_top = bot, top
-        if comp_bot is not None:
-            total += (x1 - x0) * ((comp_top[1] - comp_bot[1]) + (comp_top[2] - comp_bot[2])) / 2
-    return total
+                merged.append((bot, top))
+        for bot, top in merged:
+            total += (x1 - x0) * ((top[1] - bot[1]) + (top[2] - bot[2])) / 2
+        if gap is None and 0 <= x0 and x1 <= 1:
+            # candidate gaps at xm: (0, b1), (t1, b2), ..., (tk, 1)
+            ends = [Fraction(0)] + [end[0] for span in merged for end in span] + [Fraction(1)]
+            for lo_y, hi_y in zip(ends[::2], ends[1::2]):
+                if lo_y < hi_y:
+                    gap = RationalVec.of(xm, (lo_y + hi_y) / 2)
+                    break
+    return total, gap
+
+
+def union_area_sweep(polys: Sequence[HPolyhedron]) -> Fraction:
+    """Exact area of the union of bounded convex polygons."""
+    return _union_sweep(polys)[0]
 
 
 def union_area_inclusion_exclusion(polys: Sequence[HPolyhedron]) -> Fraction:
@@ -194,8 +199,8 @@ def _torus_fragments(reduced: list[tuple[int, HPolyhedron]]) -> list[Fragment]:
         max_x = max(v[0] for v in verts)
         min_y = min(v[1] for v in verts)
         max_y = max(v[1] for v in verts)
-        for wx in range(_ceil_frac(-max_x), _floor_frac(1 - min_x) + 1):
-            for wy in range(_ceil_frac(-max_y), _floor_frac(1 - min_y) + 1):
+        for wx in range(ceil(-max_x), floor(1 - min_x) + 1):
+            for wy in range(ceil(-max_y), floor(1 - min_y) + 1):
                 w = RationalVec.of(wx, wy)
                 clipped = polygon_intersection_2d(qp.translate(w), cell)
                 if affine_dim(clipped) == 2:
@@ -210,18 +215,17 @@ def _circle_fragments(reduced: list[tuple[int, HPolyhedron]]) -> tuple[list[tupl
     """
     frags: list[tuple[Fraction, Fraction, int, Fraction]] = []
     for idx, qp in reduced:
-        if qp.is_empty():
+        bounds = coordinate_bounds(qp, 0)
+        if bounds is None:
             continue
-        status, lo, hi = coordinate_bounds(qp, 0)
-        if status == "empty":
-            continue
+        lo, hi = bounds
         if lo is None or hi is None:
             raise UnboundedInputError("piece is unbounded in the quotient")
         if hi - lo >= 1:
             return [], True
         if hi == lo:
             continue
-        s = _floor_frac(lo)
+        s = floor(lo)
         a, b = lo - s, hi - s
         if b <= 1:
             frags.append((a, b, idx, Fraction(s)))
@@ -293,59 +297,17 @@ def covering_decision(regions: RegionComplex) -> CoverageReport:
         return CoverageReport("not_unique", length, witness, boundary, None, "circle", frag_objs)
     # m == 2 torus case
     frags = _torus_fragments(reduced)
-    area = union_area_sweep([f.poly for f in frags])
+    area, witness_cell = _union_sweep([f.poly for f in frags])
     if area == 1:
         return CoverageReport("unique", Fraction(1), None, None, None, "torus", tuple(frags))
-    witness_cell = _uncovered_cell_point(frags)
+    if witness_cell is None:
+        raise InvalidInputError("no uncovered point found although area < 1")
     boundary_cell, frag_at = _boundary_cell_point(frags, witness_cell)
     witness = quot.lift_quotient_point(witness_cell)
     boundary = quot.lift_quotient_point(boundary_cell - frag_at.shift)
     return CoverageReport(
         "not_unique", area, witness, boundary, None, "torus", tuple(frags)
     )
-
-
-def _uncovered_cell_point(frags: list[Fragment]) -> RationalVec:
-    """Interior point of the cell outside every fragment, via slab midpoints."""
-    shapes = []
-    xs: set[Fraction] = {Fraction(0), Fraction(1)}
-    for f in frags:
-        vs = _polygon_vertices(f.poly)
-        if len(vs) >= 3:
-            shapes.append((f, vs))
-            for v in vs:
-                xs.add(v[0])
-    edges = []
-    for _, vs in shapes:
-        for i, p in enumerate(vs):
-            edges.append((p, vs[(i + 1) % len(vs)]))
-    xs |= _segment_crossing_xs(edges)
-    cuts = sorted(x for x in xs if 0 <= x <= 1)
-    for x0, x1 in zip(cuts, cuts[1:]):
-        if x0 == x1:
-            continue
-        xm = (x0 + x1) / 2
-        intervals = []
-        for f in frags:
-            status, lo, hi = coordinate_bounds(
-                HPolyhedron(
-                    f.poly.rows + ((RationalVec.of(1, 0), xm), (RationalVec.of(-1, 0), -xm)),
-                    2,
-                ),
-                1,
-            )
-            if status == "empty" or lo is None or hi is None:
-                continue
-            intervals.append((lo, hi))
-        intervals.sort()
-        cursor = Fraction(0)
-        for lo, hi in intervals:
-            if lo > cursor:
-                return RationalVec.of(xm, (cursor + lo) / 2)
-            cursor = max(cursor, hi)
-        if cursor < 1:
-            return RationalVec.of(xm, (cursor + 1) / 2)
-    raise InvalidInputError("no uncovered point found although area < 1")
 
 
 def _boundary_cell_point(
@@ -429,6 +391,19 @@ def covered_point(regions: RegionComplex, p: RationalVec) -> Optional[tuple[Rati
             if poly.contains(p - w):
                 return x, w
     return None
+
+
+def minimal_lifting_eval(
+    body: SFreeBody, regions: RegionComplex, r: RationalVec
+) -> Optional[Fraction]:
+    """psi(r - w) for an integer translate w with r - w in the lifting
+    region; None signals that r is not covered."""
+    if not body.s.all_integers:
+        raise UnsupportedSError("region translation evaluation requires S = Z^n")
+    hit = covered_point(regions, r)
+    if hit is None:
+        return None
+    return psi_value(body, r - hit[1])
 
 
 def non_uniqueness_witness(

@@ -183,7 +183,7 @@ class HPolyhedron:
         return HPolyhedron(tuple((n, b + n.dot(v)) for n, b in self.rows), self.dim)
 
     def is_empty(self) -> bool:
-        return not feasible(list(self.rows), self.dim)
+        return coordinate_bounds(self, self.dim - 1) is None
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +207,7 @@ def _dedupe_rows(rows: list[Row]) -> list[Row]:
     return [(RationalVec(k), best[k]) for k in order]
 
 
-def fm_eliminate(rows: list[Row], j: int) -> list[Row]:
+def fm_eliminate(rows: Sequence[Row], j: int) -> list[Row]:
     """Project the system onto the hyperplane of all variables except x_j.
 
     The variable slot is kept (coefficient zero) so indices stay stable.
@@ -232,14 +232,57 @@ def fm_eliminate(rows: list[Row], j: int) -> list[Row]:
     return _dedupe_rows(out)
 
 
-def feasible(rows: list[Row], dim: int) -> bool:
-    cur = _dedupe_rows(rows)
-    for j in range(dim):
-        for n, b in cur:
-            if n.is_zero() and b < 0:
-                return False
-        cur = fm_eliminate(cur, j)
-    return all(b >= 0 for n, b in cur)
+def coordinate_bounds(
+    P: HPolyhedron, j: int
+) -> Optional[tuple[Optional[Fraction], Optional[Fraction]]]:
+    """Exact range of x_j over P: None when P is empty, else (lower, upper)
+    with None for an unbounded side.
+
+    This is the one Fourier-Motzkin loop of the package: every variable but
+    x_j is eliminated in increasing index order, stopping early once a row
+    reads 0 <= negative.  The input rows are not deduped first: fm_eliminate
+    dedupes what it produces, so its output is the same either way, and a
+    one-dimensional P is read in a single pass.
+    """
+    rows = P.rows
+    for k in range(P.dim):
+        if k == j:
+            continue
+        if any(b < 0 and n.is_zero() for n, b in rows):
+            return None
+        rows = fm_eliminate(rows, k)
+    lo: Optional[Fraction] = None
+    hi: Optional[Fraction] = None
+    for normal, rhs in rows:
+        c = normal[j]
+        if c == 0:
+            if rhs < 0:
+                return None
+            continue
+        bound = rhs / c
+        if c > 0:
+            if hi is None or bound < hi:
+                hi = bound
+        elif lo is None or bound > lo:
+            lo = bound
+    if lo is not None and hi is not None and lo > hi:
+        return None
+    return lo, hi
+
+
+def _fix_leading(rows: Iterable[Row], v: Union[int, Fraction]) -> Optional[list[Row]]:
+    """Substitute x_0 = v and drop that coordinate; None when a row becomes
+    0 <= negative.  Rows that become 0 <= nonnegative are dropped."""
+    out = []
+    for normal, rhs in rows:
+        newn = RationalVec(normal.coords[1:])
+        newr = rhs - normal[0] * v
+        if newn.is_zero():
+            if newr < 0:
+                return None
+            continue
+        out.append((newn, newr))
+    return out
 
 
 def linear_max(P: HPolyhedron, c: RationalVec) -> tuple[str, Optional[Fraction]]:
@@ -250,47 +293,16 @@ def linear_max(P: HPolyhedron, c: RationalVec) -> tuple[str, Optional[Fraction]]
     if c.dim != P.dim:
         raise DimensionError("objective dimension mismatch")
     n = P.dim
-    # extended system over (x, y) with y = c.x
-    ext: list[Row] = []
-    for normal, rhs in P.rows:
-        ext.append((RationalVec(tuple(normal.coords) + (Fraction(0),)), rhs))
+    # extended system over (x, y) with y = c.x; the sup is the upper bound of y
+    ext = [(RationalVec(normal.coords + (Fraction(0),)), rhs) for normal, rhs in P.rows]
     ext.append((RationalVec(tuple(-a for a in c.coords) + (Fraction(1),)), Fraction(0)))
-    ext.append((RationalVec(tuple(c.coords) + (Fraction(-1),)), Fraction(0)))
-    cur = _dedupe_rows(ext)
-    for j in range(n):
-        cur = fm_eliminate(cur, j)
-    # rows now constrain y alone
-    upper: Optional[Fraction] = None
-    lower: Optional[Fraction] = None
-    for normal, rhs in cur:
-        coef = normal[n]
-        if coef == 0:
-            if rhs < 0:
-                return "empty", None
-            continue
-        bound = rhs / coef
-        if coef > 0:
-            if upper is None or bound < upper:
-                upper = bound
-        else:
-            if lower is None or bound > lower:
-                lower = bound
-    if lower is not None and upper is not None and lower > upper:
+    ext.append((RationalVec(c.coords + (Fraction(-1),)), Fraction(0)))
+    bounds = coordinate_bounds(HPolyhedron(tuple(ext), n + 1), n)
+    if bounds is None:
         return "empty", None
-    if upper is None:
+    if bounds[1] is None:
         return "unbounded", None
-    return "bounded", upper
-
-
-def coordinate_bounds(P: HPolyhedron, j: int) -> tuple[str, Optional[Fraction], Optional[Fraction]]:
-    """Exact range of x_j over P: ('empty'|'ok', lower, upper); None means unbounded."""
-    status, hi = linear_max(P, RationalVec.unit(P.dim, j))
-    if status == "empty":
-        return "empty", None, None
-    status2, lo_neg = linear_max(P, RationalVec.unit(P.dim, j).scale(-1))
-    hi_v = hi if status == "bounded" else None
-    lo_v = -lo_neg if status2 == "bounded" else None
-    return "ok", lo_v, hi_v
+    return "bounded", bounds[1]
 
 
 # ---------------------------------------------------------------------------
@@ -306,7 +318,7 @@ def irredundant(P: HPolyhedron) -> HPolyhedron:
     equality should still go through poly_equal.
     """
     rows = _dedupe_rows(list(P.rows))
-    if not feasible(rows, P.dim):
+    if HPolyhedron(tuple(rows), P.dim).is_empty():
         return HPolyhedron.canonical_empty(P.dim)
     rows = [r for r in rows if not (r[0].is_zero() and r[1] >= 0)]
     i = 0
@@ -506,7 +518,7 @@ def vertices_2d(P: HPolyhedron) -> tuple[list[RationalVec], list[RationalVec], l
     if P.dim != 2:
         raise DimensionError("vertices_2d requires dimension 2")
     rows = _dedupe_rows(list(P.rows))
-    if not feasible(rows, 2):
+    if HPolyhedron(tuple(rows), 2).is_empty():
         return [], [], []
     lin = kernel_basis([n for n, _ in rows], 2)
     if len(lin) == 2:

@@ -10,10 +10,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import ceil, floor
 from typing import Optional, Sequence
 
 from .errors import UnboundedInputError
-from .geom import HPolyhedron, RationalVec, fm_eliminate, kernel_basis
+from .geom import HPolyhedron, RationalVec, Row, _fix_leading, coordinate_bounds, kernel_basis
 
 IntMatrix = list[list[int]]
 
@@ -216,43 +217,16 @@ def enumerate_lattice_points(
     larger) true range.  Without a cap, an unbounded direction raises.
     """
     truncated = False
-
-    def bounds_first_var(rows: list, d: int) -> tuple[bool, Optional[Fraction], Optional[Fraction]]:
-        cur = rows
-        for j in range(1, d):
-            cur = fm_eliminate(cur, j)
-        lo: Optional[Fraction] = None
-        hi: Optional[Fraction] = None
-        for normal, rhs in cur:
-            c = normal[0]
-            if c == 0:
-                if rhs < 0:
-                    return False, None, None
-                continue
-            bound = rhs / c
-            if c > 0:
-                hi = bound if hi is None or bound < hi else hi
-            else:
-                lo = bound if lo is None or bound > lo else lo
-        if lo is not None and hi is not None and lo > hi:
-            return False, None, None
-        return True, lo, hi
-
-    def ceil_frac(v: Fraction) -> int:
-        return -((-v.numerator) // v.denominator)
-
-    def floor_frac(v: Fraction) -> int:
-        return v.numerator // v.denominator
-
     out: list[RationalVec] = []
 
-    def rec(rows: list, d: int, prefix: tuple[int, ...]) -> None:
+    def rec(rows: Sequence[Row], d: int, prefix: tuple[int, ...]) -> None:
         nonlocal truncated
-        ok, lo, hi = bounds_first_var(rows, d)
-        if not ok:
+        bounds = coordinate_bounds(HPolyhedron(tuple(rows), d), 0)
+        if bounds is None:
             return
-        lo_i = ceil_frac(lo) if lo is not None else None
-        hi_i = floor_frac(hi) if hi is not None else None
+        lo, hi = bounds
+        lo_i = ceil(lo) if lo is not None else None
+        hi_i = floor(hi) if hi is not None else None
         if cap is not None:
             if lo_i is None or lo_i < -cap:
                 truncated = True
@@ -266,20 +240,10 @@ def enumerate_lattice_points(
         for v in range(lo_i, hi_i + 1):
             if d == 1:
                 out.append(RationalVec.from_seq(prefix + (v,)))
-            else:
-                sub = []
-                feasible_here = True
-                for normal, rhs in rows:
-                    newn = RationalVec(tuple(normal[j] for j in range(1, d)))
-                    newr = rhs - normal[0] * v
-                    if newn.is_zero():
-                        if newr < 0:
-                            feasible_here = False
-                            break
-                        continue
-                    sub.append((newn, newr))
-                if feasible_here:
-                    rec(sub, d - 1, prefix + (v,))
+                continue
+            sub = _fix_leading(rows, v)
+            if sub is not None:
+                rec(sub, d - 1, prefix + (v,))
 
-    rec(list(P.rows), P.dim, ())
+    rec(P.rows, P.dim, ())
     return out, truncated

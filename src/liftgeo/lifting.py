@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import ceil, floor, gcd
 from typing import Optional
 
 from .bodies import SFreeBody, lattice_points_in_body
@@ -36,9 +36,8 @@ from .errors import (
     UnsupportedSError,
 )
 from .gauge import psi_value
-from .geom import HPolyhedron, RationalVec, Row, linear_max
+from .geom import HPolyhedron, RationalVec, Row, _fix_leading, coordinate_bounds, linear_max
 from .lattice import enumerate_lattice_points
-from .regions import RegionComplex
 
 DEFAULT_ORACLE_WINDOW = 10
 DEFAULT_ORACLE_TMAX = 20
@@ -96,14 +95,6 @@ class PiStarResult:
     blocking_point: tuple[RationalVec, int]
     bounds: SearchBounds
     bound_certified: bool
-
-
-def _ceil_frac(v: Fraction) -> int:
-    return -((-v.numerator) // v.denominator)
-
-
-def _floor_frac(v: Fraction) -> int:
-    return v.numerator // v.denominator
 
 
 def _common_denominator(r: RationalVec) -> int:
@@ -170,7 +161,7 @@ def _pi_star_integers(body: SFreeBody, r: RationalVec) -> PiStarResult:
             if best is None or val > best:
                 best, best_t, best_x = val, t, x
                 if best > 0:
-                    t_cap = min(q, _ceil_frac(1 / best))
+                    t_cap = min(q, ceil(1 / best))
         t += 1
     if best is None or best < 0:
         raise InvalidInputError(
@@ -185,36 +176,25 @@ def _pi_star_integers(body: SFreeBody, r: RationalVec) -> PiStarResult:
 
 
 def _feasible_point(P: HPolyhedron) -> Optional[RationalVec]:
-    """Some exact point of P (deterministic), or None if empty."""
-    from .geom import coordinate_bounds
-
-    rows = list(P.rows)
+    """Some exact point of P (deterministic), or None if empty: each
+    coordinate in turn takes the value of its range closest to 0."""
+    rows = P.rows
     coords: list[Fraction] = []
-    d = P.dim
-    for j in range(d):
-        cur = HPolyhedron(tuple(rows), d - j)
-        status, lo, hi = coordinate_bounds(cur, 0)
-        if status == "empty":
+    for d in range(P.dim, 0, -1):
+        bounds = coordinate_bounds(HPolyhedron(tuple(rows), d), 0)
+        if bounds is None:
             return None
-        if lo is not None and hi is not None and lo > hi:
-            return None
+        lo, hi = bounds
         pick = Fraction(0)
         if lo is not None and pick < lo:
             pick = lo
         if hi is not None and pick > hi:
             pick = hi
         coords.append(pick)
-        nxt = []
-        if d - j - 1 >= 1:
-            for normal, rhs in rows:
-                newn = RationalVec(tuple(normal.coords[1:]))
-                newr = rhs - normal[0] * pick
-                if newn.is_zero():
-                    if newr < 0:
-                        return None
-                    continue
-                nxt.append((newn, newr))
-        rows = nxt
+        if d > 1:
+            rows = _fix_leading(rows, pick)
+            if rows is None:
+                return None
     return RationalVec(tuple(coords))
 
 
@@ -312,8 +292,8 @@ def _pi_star_general(body: SFreeBody, r: RationalVec, t_hard_cap: Optional[int])
         t += 1
         if psi_nonneg and best > 0:
             # with psi >= 0, beating best needs (1 - psi)/t > best, so t < 1/best
-            t_cap = min(t_cap, max(scanned, _ceil_frac(1 / best)))
-    if psi_nonneg and best > 0 and scanned >= _ceil_frac(1 / best):
+            t_cap = min(t_cap, max(scanned, ceil(1 / best)))
+    if psi_nonneg and best > 0 and scanned >= ceil(1 / best):
         certified = True
     else:
         # tail certificate through the convex parametric LP value function
@@ -351,7 +331,7 @@ def pi_star_periodic(body: SFreeBody, r: RationalVec) -> PiStarResult:
         raise UnsupportedSError("periodicity reduction requires S = Z^n")
     if r.dim != body.n:
         raise DimensionError("ray dimension mismatch")
-    w = RationalVec.from_seq(_floor_frac(c) for c in r.coords)
+    w = RationalVec.from_seq(floor(c) for c in r.coords)
     reduced = r - w
     res = pi_star(body, reduced)
     bx, bt = res.blocking_point
@@ -386,31 +366,3 @@ def pi_star_certificate_check(
             if psi_value(body, x - shift) < level:
                 return False, f"interior S-point {x} at multiplicity {t}"
     return True, "ok"
-
-
-def minimal_lifting_eval(
-    body: SFreeBody, regions: RegionComplex, r: RationalVec
-) -> Optional[Fraction]:
-    """psi(r - w) for an integer translate w with r - w in the lifting
-    region; None signals that r is not covered.
-
-    The translate search is complete: piece quotients are bounded, so every
-    candidate w is enumerated.
-    """
-    if not body.s.all_integers:
-        raise UnsupportedSError("region translation evaluation requires S = Z^n")
-    quot = body.quotient()
-    r_proj = quot.project_point(r)
-    m = quot.n - quot.k
-    for _, poly in regions.pieces:
-        reduced = quot.quotient_poly(poly)
-        # integer z with r_proj - z in reduced  <=>  z in r_proj - reduced
-        rows = [
-            (normal.scale(-1), rhs - normal.dot(r_proj)) for normal, rhs in reduced.rows
-        ]
-        zs, _ = enumerate_lattice_points(HPolyhedron(tuple(rows), m), cap=None)
-        for z in zs:
-            w = quot.lift_quotient_point(z)
-            if poly.contains(r - w):
-                return psi_value(body, r - w)
-    return None

@@ -14,7 +14,9 @@ from fractions import Fraction
 from math import gcd
 from typing import Optional
 
-from liftgeo import RationalVec, SDescriptor, SFreeBody, body_from_facets
+from hypothesis import strategies as st
+
+from liftgeo import HPolyhedron, RationalVec, SDescriptor, SFreeBody, body_from_facets
 
 
 def make_split() -> SFreeBody:
@@ -132,3 +134,15 @@ def oracle_pi_star_grid(
     if best_num is None:
         return None, None
     return Fraction(best_num, best_den), best_arg
+
+
+@st.composite
+def small_systems(draw) -> HPolyhedron:
+    """Random systems of 1 to 5 rows in dimension 1 to 3, with integer
+    normals in [-3, 3] (zero normals included) and right-hand sides p/q
+    with |p| <= 6 and q <= 3."""
+    dim = draw(st.integers(1, 3))
+    coef = st.integers(-3, 3)
+    rhs = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 3))
+    items = draw(st.lists(st.tuples(st.tuples(*[coef] * dim), rhs), min_size=1, max_size=5))
+    return HPolyhedron.from_rows([(RationalVec.from_seq(n), b) for n, b in items], dim)

@@ -248,3 +248,47 @@ def test_default_window_env_var(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("LIFTGEO_DEFAULT_WINDOW", "junk")
     code, out, _ = run(capsys, "verify", str(path))
     assert json.loads(out)["window"] == 10
+
+
+def test_cut_rejects_tmax_below_one(tmp_path, capsys):
+    # with --tmax 0 the scan would never run and the recession candidate
+    # -26/3 would be printed; the true coefficient is -8/3
+    wedge = write_catalog(tmp_path, capsys, "wedge_generalS")
+    row = tmp_path / "row.json"
+    row.write_text(
+        json.dumps(
+            {"f": ["0", "1/2"], "columns": [{"name": "y", "kind": "integer", "ray": ["-2", "3"]}]}
+        )
+    )
+    code, out, err = run(capsys, "cut", str(wedge), str(row), "--tmax", "0")
+    assert code == 3 and out == ""
+    assert "--tmax" in err
+    code, out, _ = run(capsys, "cut", str(wedge), str(row), "--tmax", "1")
+    assert code == 0
+    assert json.loads(out)["columns"][0]["coefficient"] == "-8/3"
+
+
+def test_verify_rejects_negative_window(tmp_path, capsys):
+    split = write_catalog(tmp_path, capsys, "split")
+    code, out, err = run(capsys, "verify", str(split), "--window", "-1")
+    assert code == 3 and out == ""
+    assert "--window" in err
+    code, out, _ = run(capsys, "verify", str(split), "--window", "0")
+    assert code != 3 and json.loads(out)["window"] == 0
+
+
+def test_every_subcommand_rejects_out_of_range_search_bounds(tmp_path, capsys):
+    split = write_catalog(tmp_path, capsys, "split")
+    row = tmp_path / "row.json"
+    row.write_text(json.dumps({"f": ["1/2", "0"], "columns": []}))
+    commands = {
+        "psi": [str(split), "--ray", "1,0"],
+        "cut": [str(split), str(row)],
+        "regions": [str(split)],
+        "cover": [str(split)],
+        "verify": [str(split)],
+    }
+    for name, rest in commands.items():
+        assert run(capsys, name, *rest, "--tmax", "0")[0] == 3, name
+        assert run(capsys, name, *rest, "--window", "-1")[0] == 3, name
+    assert run(capsys, "catalog", "split", "--window", "-1")[0] == 3

@@ -1,7 +1,10 @@
+import itertools
 import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftgeo import (
     HPolyhedron,
@@ -17,7 +20,9 @@ from liftgeo import (
     vertices_2d,
 )
 from liftgeo.errors import DimensionError, EmptyInputError, UnboundedInputError
-from liftgeo.geom import irredundant
+from liftgeo.geom import coordinate_bounds, irredundant
+
+from helpers import small_systems
 
 
 def rows(*items):
@@ -180,3 +185,84 @@ def test_affine_dim():
     pt = rows(((1, 0), 0), ((-1, 0), 0), ((0, 1), 0), ((0, -1), 0))
     assert affine_dim(pt) == 0
     assert affine_dim(HPolyhedron.canonical_empty(2)) == -1
+
+
+# ---------------------------------------------------------------------------
+# Property tests of the projection kernel against a vertex oracle.  The
+# oracle shares no code with Fourier-Motzkin: it clips the system to the box
+# [-M, M]^dim, solves every dim-subset of rows exactly and keeps the feasible
+# solutions.  With coefficients in [-3, 3] every vertex and every minimal
+# face meets the box, so a sup that grows from M to 2M is unbounded.
+# ---------------------------------------------------------------------------
+
+ORACLE_BOX = 10 ** 4
+
+
+def _solve_square(mat, rhs):
+    """The unique solution of a square system, or None when it is singular."""
+    n = len(mat)
+    a = [list(row) + [b] for row, b in zip(mat, rhs)]
+    for col in range(n):
+        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        if piv is None:
+            return None
+        a[col], a[piv] = a[piv], a[col]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col] / a[col][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(a[i][n] / a[i][i] for i in range(n))
+
+
+def _box_vertices(P, box):
+    dim = P.dim
+    box_rows = []
+    for i in range(dim):
+        unit = tuple(F(1 if k == i else 0) for k in range(dim))
+        box_rows.append((unit, F(box)))
+        box_rows.append((tuple(-u for u in unit), F(box)))
+    rows = [(n.coords, b) for n, b in P.rows] + box_rows
+    verts = set()
+    for combo in itertools.combinations(rows, dim):
+        x = _solve_square([n for n, _ in combo], [b for _, b in combo])
+        if x is not None and all(sum(a * v for a, v in zip(n, x)) <= b for n, b in rows):
+            verts.add(x)
+    return verts
+
+
+def _oracle_sup(P, c):
+    small, large = _box_vertices(P, ORACLE_BOX), _box_vertices(P, 2 * ORACLE_BOX)
+    if not small:
+        return "empty", None
+    value = max(sum(a * v for a, v in zip(c, x)) for x in small)
+    if value != max(sum(a * v for a, v in zip(c, x)) for x in large):
+        return "unbounded", None
+    return "bounded", value
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_systems(), st.data())
+def test_coordinate_bounds_matches_vertex_oracle(P, data):
+    j = data.draw(st.integers(0, P.dim - 1))
+    unit = [F(1 if k == j else 0) for k in range(P.dim)]
+    up = _oracle_sup(P, unit)
+    down = _oracle_sup(P, [-u for u in unit])
+    if up[0] == "empty":
+        assert coordinate_bounds(P, j) is None
+    else:
+        lo = -down[1] if down[0] == "bounded" else None
+        hi = up[1] if up[0] == "bounded" else None
+        assert coordinate_bounds(P, j) == (lo, hi)
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_systems(), st.data())
+def test_linear_max_matches_vertex_oracle(P, data):
+    c = data.draw(st.tuples(*[st.integers(-3, 3)] * P.dim))
+    assert linear_max(P, RationalVec.from_seq(c)) == _oracle_sup(P, [F(a) for a in c])
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_systems())
+def test_is_empty_matches_vertex_oracle(P):
+    assert P.is_empty() == (not _box_vertices(P, ORACLE_BOX))

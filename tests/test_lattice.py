@@ -1,6 +1,9 @@
+import itertools
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from liftgeo import HPolyhedron, RationalVec
 from liftgeo.errors import UnboundedInputError
@@ -12,6 +15,8 @@ from liftgeo.lattice import (
     integer_kernel_basis,
     lattice_basis_of_subspace,
 )
+
+from helpers import small_systems
 
 
 def test_integer_kernel():
@@ -95,3 +100,34 @@ def test_enumerate_empty():
     empty = HPolyhedron.canonical_empty(2)
     pts, truncated = enumerate_lattice_points(empty)
     assert pts == [] and not truncated
+
+
+def _box_scan(P, radius):
+    """Integer points of P in [-radius, radius]^dim, lexicographically."""
+    return [
+        x for x in itertools.product(range(-radius, radius + 1), repeat=P.dim)
+        if all(n.dot(RationalVec.from_seq(x)) <= b for n, b in P.rows)
+    ]
+
+
+@settings(max_examples=120, deadline=None)
+@given(small_systems(), st.integers(0, 3))
+def test_enumerate_matches_box_scan(P, cap):
+    pts, truncated = enumerate_lattice_points(P, cap=cap)
+    assert [p.coords for p in pts] == _box_scan(P, cap)
+    if not truncated:
+        # nothing was clamped, so no integer point of P lies outside the cap box
+        assert _box_scan(P, cap + 3) == _box_scan(P, cap)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems(), st.integers(0, 3))
+def test_enumerate_bounded_without_cap(P, radius):
+    box = [
+        (RationalVec.from_seq(F(s if k == i else 0) for k in range(P.dim)), radius)
+        for i in range(P.dim) for s in (1, -1)
+    ]
+    Q = HPolyhedron.from_rows(list(P.rows) + box, P.dim)
+    pts, truncated = enumerate_lattice_points(Q)
+    assert not truncated
+    assert [p.coords for p in pts] == _box_scan(Q, radius)
