@@ -67,7 +67,7 @@ def _default_window() -> int:
     try:
         return int(raw)
     except ValueError:
-        return 10
+        raise InvalidInputError(f"LIFTGEO_DEFAULT_WINDOW must be an integer, got {raw!r}") from None
 
 
 def _load_body(path: str) -> tuple[str, SFreeBody]:
@@ -357,9 +357,8 @@ def _check_search_bounds(args: argparse.Namespace) -> None:
 
 
 def main(argv: Optional[list[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _check_search_bounds(args)
         return args.func(args)
     except ParseError as exc:

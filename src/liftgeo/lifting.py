@@ -26,7 +26,8 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import ceil, floor, gcd
+from math import ceil, floor, lcm
+from operator import mul
 from typing import Optional
 
 from .bodies import SFreeBody, lattice_points_in_body
@@ -85,8 +86,6 @@ def lifted_body(body: SFreeBody, r_star: RationalVec, lam) -> LiftedBody:
 @dataclass(frozen=True)
 class SearchBounds:
     t_max: int
-    window: Optional[int]
-    exact: bool
 
 
 @dataclass(frozen=True)
@@ -98,10 +97,7 @@ class PiStarResult:
 
 
 def _common_denominator(r: RationalVec) -> int:
-    q = 1
-    for c in r.coords:
-        q = q * c.denominator // gcd(q, c.denominator)
-    return q
+    return lcm(*(c.denominator for c in r.coords))
 
 
 def _sublevel_points(body: SFreeBody, shift: RationalVec, c: Fraction) -> list[RationalVec]:
@@ -128,19 +124,28 @@ def single_ray_validity(
     """Brute-force validity oracle on an explicit grid.
 
     Scans every S-point of the window box and every multiplicity
-    1 <= t <= t_max in deterministic (t, then lex) order; this is the
-    independent check for the closed-form computation, so it stays blunt
-    on purpose.
+    1 <= t <= t_max in deterministic (t, then lex) order for a violation
+    psi(x - f - t r) + lambda t < 1.  It evaluates that definition directly,
+    with the facet products scaled to integers by one common denominator,
+    as the independent check for the closed-form computation.
     """
     lam = Fraction(lam)
     if r_star.dim != body.n:
         raise DimensionError("r_star dimension mismatch")
+    facets = body.facets
+    af, ar = [a.dot(body.f) for a in facets], [a.dot(r_star) for a in facets]
+    den = lcm(*(v.denominator for v in itertools.chain(af, ar, [lam], *facets)))
+    a_int = [[int(c * den) for c in a] for a in facets]
+    af_int, shifts = [int(v * den) for v in af], [int(v * den) for v in ar]
+    pts = []
+    for coords in itertools.product(range(-window, window + 1), repeat=body.n):
+        x = RationalVec.from_seq(coords)
+        if body.s.contains(x):
+            pts.append((x, [sum(map(mul, a, coords)) - v for a, v in zip(a_int, af_int)]))
     for t in range(1, t_max + 1):
-        for coords in itertools.product(range(-window, window + 1), repeat=body.n):
-            x = RationalVec.from_seq(coords)
-            if not body.s.contains(x):
-                continue
-            if psi_value(body, x - body.f - r_star.scale(t)) + lam * t < 1:
+        slack = int((1 - lam * t) * den)
+        for x, base in pts:
+            if max(b - t * s for b, s in zip(base, shifts)) < slack:
                 return False, (x, t)
     return True, None
 
@@ -170,7 +175,7 @@ def _pi_star_integers(body: SFreeBody, r: RationalVec) -> PiStarResult:
     return PiStarResult(
         value=best,
         blocking_point=(best_x, best_t),
-        bounds=SearchBounds(t_max=max(t_cap, best_t), window=None, exact=True),
+        bounds=SearchBounds(t_max=max(t_cap, best_t)),
         bound_certified=True,
     )
 
@@ -305,7 +310,7 @@ def _pi_star_general(body: SFreeBody, r: RationalVec, t_hard_cap: Optional[int])
     return PiStarResult(
         value=best,
         blocking_point=(best_x, best_t),
-        bounds=SearchBounds(t_max=scanned, window=None, exact=True),
+        bounds=SearchBounds(t_max=scanned),
         bound_certified=certified,
     )
 

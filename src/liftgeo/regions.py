@@ -3,9 +3,11 @@
 The region of a point x collects the rays r with
 psi(r) + psi(x - f - r) = psi(x - f); on such rays the integer-column
 coefficient of every pointwise-minimal valid pair is forced to equal the
-continuous coefficient psi(r).  The complex is the finite union of these
-regions over one representative per class of S cap B modulo their common
-lineality.
+continuous coefficient psi(r).  The complex has one region per class of
+the body's lattice points modulo L_psi = {r : a_i r = a_j r for all i, j}:
+R(x) = R(x') exactly when d = x - x' lies in L_psi.  Only if: w = x - f is
+in R(x), so adding the identities for w' in R(x) and w in R(x') gives
+psi(d) + psi(-d) = 0.  If: a_i d = c for all i shifts both sides by c.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ from .geom import (
     affine_dim,
     irredundant,
     kernel_basis,
-    poly_equal,
 )
 
 
@@ -40,10 +41,14 @@ class RegionComplex:
         return [affine_dim(poly) for _, poly in self.pieces]
 
 
+def _facet_differences(body: SFreeBody) -> list[RationalVec]:
+    """The rows a_i - a_0 (i >= 1), whose kernel is L_psi."""
+    return [a - body.facets[0] for a in body.facets[1:]]
+
+
 def l_psi(body: SFreeBody) -> list[RationalVec]:
     """Basis of the common-value subspace {r : a_i r = a_j r for all i, j}."""
-    diffs = [a - body.facets[0] for a in body.facets[1:]]
-    return kernel_basis(diffs, body.n)
+    return kernel_basis(_facet_differences(body), body.n)
 
 
 def region_of_point(body: SFreeBody, x: RationalVec) -> HPolyhedron:
@@ -76,8 +81,8 @@ def region_cone_form(
 
 
 def lifting_region(body: SFreeBody) -> RegionComplex:
-    """All pieces R(x) over lattice representatives, deduplicated by exact
-    set equality, ordered by source point.
+    """One piece R(x) per class of lattice representatives modulo L_psi
+    (the first of its class is the source), ordered by source point.
 
     For general S the intersection of the body with conv(S) must be
     full-dimensional; the degenerate case is rejected outright."""
@@ -89,13 +94,11 @@ def lifting_region(body: SFreeBody) -> RegionComplex:
             raise DegenerateBodyError(
                 "body meets conv(S) in a lower-dimensional set"
             )
-    reps = lattice_points_in_body(body)
-    pieces: list[tuple[RationalVec, HPolyhedron]] = []
-    for x in reps:
-        poly = region_of_point(body, x)
-        if any(poly_equal(poly, q) for _, q in pieces):
-            continue
-        pieces.append((x, poly))
+    diffs = _facet_differences(body)
+    sources: dict[tuple[Fraction, ...], RationalVec] = {}
+    for x in lattice_points_in_body(body):
+        sources.setdefault(tuple(d.dot(x) for d in diffs), x)
+    pieces = [(x, region_of_point(body, x)) for x in sources.values()]
     pieces.sort(key=lambda it: it[0].coords)
     return RegionComplex(tuple(pieces), tuple(l_psi(body)), body.n)
 

@@ -16,7 +16,17 @@ from typing import Optional
 
 from hypothesis import strategies as st
 
-from liftgeo import HPolyhedron, RationalVec, SDescriptor, SFreeBody, body_from_facets
+from liftgeo import (
+    HPolyhedron,
+    RationalVec,
+    SDescriptor,
+    SFreeBody,
+    body_from_facets,
+    l_psi,
+    lattice_points_in_body,
+    poly_equal,
+    region_of_point,
+)
 
 
 def make_split() -> SFreeBody:
@@ -75,6 +85,38 @@ def make_wedge() -> SFreeBody:
         [RationalVec.of("4/3", "2"), RationalVec.of("4/3", "-2")],
         s,
     )
+
+
+def make_band_split() -> SFreeBody:
+    """The split 0 <= x1 <= 1 for S = Z^2 cap {0 <= x2 <= 3}: maximal
+    S-free with 8 lattice representatives that give only 2 regions."""
+    s = SDescriptor.polyhedral([RationalVec.of(0, -1), RationalVec.of(0, 1)], [0, 3])
+    return body_from_facets(
+        RationalVec.of("1/2", "1"), [RationalVec.of(2, 0), RationalVec.of(-2, 0)], s
+    )
+
+
+def make_wedge_family(s: Fraction, f2: Fraction) -> SFreeBody:
+    """The wedge s x1 - x2 <= 0, s x1 + x2 <= 1 (s > 0) with apex (0, f2),
+    0 < f2 < 1, for S = Z^2 cap {x1 >= 0}; maximal S-free, with (0, 0) and
+    (0, 1) on its facets."""
+    f = RationalVec.of(0, f2)
+    rows = [(RationalVec.of(s, -1), Fraction(0)), (RationalVec.of(s, 1), Fraction(1))]
+    facets = [a.scale(1 / (b - a.dot(f))) for a, b in rows]
+    return body_from_facets(f, facets, SDescriptor.polyhedral([RationalVec.of(-1, 0)], [0]))
+
+
+def pairwise_region_pieces(body: SFreeBody) -> tuple:
+    """Reference complex: R(x) over the lattice representatives, keeping
+    the first of every set of exactly equal regions (pairwise poly_equal),
+    ordered by source point."""
+    pieces: list = []
+    for x in lattice_points_in_body(body):
+        poly = region_of_point(body, x)
+        if not any(poly_equal(poly, q) for _, q in pieces):
+            pieces.append((x, poly))
+    pieces.sort(key=lambda it: it[0].coords)
+    return tuple(pieces), tuple(l_psi(body))
 
 
 def zn_catalog() -> list[tuple[str, SFreeBody]]:

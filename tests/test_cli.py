@@ -246,8 +246,9 @@ def test_default_window_env_var(tmp_path, capsys, monkeypatch):
     assert code == 0
     assert json.loads(out)["window"] == 4
     monkeypatch.setenv("LIFTGEO_DEFAULT_WINDOW", "junk")
-    code, out, _ = run(capsys, "verify", str(path))
-    assert json.loads(out)["window"] == 10
+    code, out, err = run(capsys, "verify", str(path))
+    assert code == 3 and out == ""
+    assert "LIFTGEO_DEFAULT_WINDOW" in err
 
 
 def test_cut_rejects_tmax_below_one(tmp_path, capsys):

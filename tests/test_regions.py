@@ -2,6 +2,7 @@ import random
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from liftgeo import (
     HPolyhedron,
@@ -21,9 +22,19 @@ from liftgeo import (
     vertices_2d,
 )
 from liftgeo.errors import DegenerateBodyError
-from liftgeo.geom import irredundant, kernel_basis
+from liftgeo.geom import irredundant, kernel_basis, primitive_direction
+from liftgeo.regions import _facet_differences
 
-from helpers import make_split, make_triangle, make_wedge, zn_catalog
+from helpers import (
+    full_catalog,
+    make_band_split,
+    make_split,
+    make_triangle,
+    make_wedge,
+    make_wedge_family,
+    pairwise_region_pieces,
+    zn_catalog,
+)
 
 
 def strip(lo, hi):
@@ -150,3 +161,48 @@ def test_wedge_region_complex():
     rc = lifting_region(make_wedge())
     assert len(rc.pieces) >= 1
     assert region_membership(rc, RationalVec.zero(2)) is not None
+
+
+def test_band_split_merges_representatives():
+    # the one known input where several representatives share a region:
+    # x and x' = x + (0, k) differ by a vector of L_psi = span{(0, 1)}
+    body = make_band_split()
+    assert len(lattice_points_in_body(body)) == 8
+    rc = lifting_region(body)
+    assert [x.coords for x, _ in rc.pieces] == [(0, 0), (1, 0)]
+
+
+LEMMA_BODIES = full_catalog() + [("band_split", make_band_split())]
+
+
+@pytest.mark.parametrize("body", [b for _, b in LEMMA_BODIES], ids=[n for n, _ in LEMMA_BODIES])
+def test_lifting_region_matches_pairwise_reference(body):
+    rc = lifting_region(body)
+    assert (rc.pieces, rc.lineality) == pairwise_region_pieces(body)
+
+
+def _lemma_bodies():
+    fixed = st.sampled_from([body for _, body in LEMMA_BODIES])
+    wedges = st.builds(
+        make_wedge_family,
+        st.builds(F, st.integers(1, 18), st.integers(1, 6)),
+        st.builds(F, st.integers(1, 7), st.just(8)),
+    )
+    return st.one_of(fixed, wedges)
+
+
+@settings(max_examples=60, deadline=None)
+@given(body=_lemma_bodies(), data=st.data())
+def test_equal_regions_iff_equal_class_key(body, data):
+    """R(x) = R(x') exactly when x - x' lies in L_psi, that is when the
+    facet differences (a_i - a_0) x and (a_i - a_0) x' agree."""
+    reps = lattice_points_in_body(body)
+    shift = st.tuples(st.integers(-3, 3), st.integers(-3, 3)).map(RationalVec.from_seq)
+    x = data.draw(st.sampled_from(reps)) + data.draw(shift)
+    y = data.draw(st.sampled_from(reps)) + data.draw(shift)
+    line = [primitive_direction(v) for v in l_psi(body)]
+    if line and data.draw(st.booleans()):
+        y = x + data.draw(st.sampled_from(line)).scale(data.draw(st.integers(-3, 3)))
+    diffs = _facet_differences(body)
+    same_key = [d.dot(x) for d in diffs] == [d.dot(y) for d in diffs]
+    assert poly_equal(region_of_point(body, x), region_of_point(body, y)) == same_key
