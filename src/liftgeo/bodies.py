@@ -84,16 +84,6 @@ class SDescriptor:
             return []
         return [(c, b) for c, b in zip(self.c_rows, self.d)]
 
-    def lin_conv_basis(self, n: int) -> list[RationalVec]:
-        if self.all_integers:
-            return [RationalVec.unit(n, i) for i in range(n)]
-        return kernel_basis(list(self.c_rows), n)
-
-    def rec_rows(self, n: int) -> list[Row]:
-        if self.all_integers:
-            return []
-        return [(c, Fraction(0)) for c in self.c_rows]
-
     def validate_full_dim(self, n: int, window: int) -> None:
         """Find n+1 affinely independent members of S within the window box."""
         poly = HPolyhedron.from_rows(self.conv_rows(n), n)
@@ -130,10 +120,6 @@ class SFreeBody:
 
     def polyhedron(self) -> HPolyhedron:
         return HPolyhedron(tuple(self.rows()), self.n)
-
-    def shifted_polyhedron(self, v: RationalVec) -> HPolyhedron:
-        """B + v."""
-        return self.polyhedron().translate(v)
 
     def quotient(self) -> QuotientBasis:
         """Coordinates adapted to lin(B) intersect lin(conv(S))."""

@@ -1,10 +1,15 @@
 """Exact rational linear algebra and low-dimensional polyhedral primitives.
 
-Everything here computes over ``fractions.Fraction``; there is no floating
-point anywhere.  Polyhedra are inequality systems ``normal . x <= rhs``.
-Vertex enumeration and areas are implemented for the plane only; the
-linear-algebra kernels (lineality, recession, Fourier-Motzkin projection,
-exact linear maximization) work in any dimension.
+All arithmetic is exact; there is no floating point anywhere.  Polyhedra are
+inequality systems ``normal . x <= rhs`` over ``fractions.Fraction``.  Inside
+the Fourier-Motzkin kernel (``coordinate_bounds``/``fm_eliminate``) a row is
+instead one tuple of Python ints ``(a_0, ..., a_{d-1}, b)`` meaning
+``a . x <= b``, scaled by a positive rational so that the whole tuple has
+gcd 1 (a zero normal has b in {-1, 0, 1}); rows enter it once and bounds
+leave it as ``Fraction(b, a_j)``.  Vertex enumeration and areas are
+implemented for the plane only; the linear-algebra kernels (lineality,
+recession, Fourier-Motzkin projection, exact linear maximization) work in
+any dimension.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ import functools
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence, Union
 
 from .errors import DimensionError, EmptyInputError, UnboundedInputError
@@ -99,9 +104,6 @@ class RationalVec:
     def __len__(self) -> int:
         return len(self.coords)
 
-    def sort_key(self) -> tuple[Fraction, ...]:
-        return self.coords
-
     def __repr__(self) -> str:
         return "(" + ", ".join(str(c) for c in self.coords) + ")"
 
@@ -109,18 +111,20 @@ class RationalVec:
 Row = tuple[RationalVec, Fraction]
 
 
+def _primitive_ints(values: Sequence[Fraction]) -> tuple[int, ...]:
+    """Scale rationals by one positive rational to coprime integers; all
+    zeros stay zeros."""
+    den = lcm(*(v.denominator for v in values))
+    ints = [v.numerator * (den // v.denominator) for v in values]
+    g = gcd(*ints)
+    return tuple([x // g for x in ints]) if g > 1 else tuple(ints)
+
+
 def primitive_direction(v: RationalVec) -> RationalVec:
     """Scale a nonzero vector by a positive rational to primitive integer form."""
     if v.is_zero():
         raise ValueError("zero vector has no direction")
-    denlcm = 1
-    for c in v.coords:
-        denlcm = denlcm * c.denominator // gcd(denlcm, c.denominator)
-    ints = [int(c * denlcm) for c in v.coords]
-    g = 0
-    for x in ints:
-        g = gcd(g, abs(x))
-    return RationalVec(tuple(Fraction(x // g) for x in ints))
+    return RationalVec(tuple(Fraction(x) for x in _primitive_ints(v.coords)))
 
 
 def canonical_row(normal: RationalVec, rhs: Fraction) -> Row:
@@ -207,29 +211,48 @@ def _dedupe_rows(rows: list[Row]) -> list[Row]:
     return [(RationalVec(k), best[k]) for k in order]
 
 
-def fm_eliminate(rows: Sequence[Row], j: int) -> list[Row]:
-    """Project the system onto the hyperplane of all variables except x_j.
+def fm_eliminate(rows: Sequence[tuple[int, ...]], j: int) -> list[tuple[int, ...]]:
+    """Project a system of integer rows onto the hyperplane of all variables
+    except x_j.
 
     The variable slot is kept (coefficient zero) so indices stay stable.
+    Rows with zero x_j come first, then the pos x neg combinations in loop
+    order; per primitive normal direction only the first-seen position and
+    the tightest rhs are kept.
     """
-    pos, neg, zero = [], [], []
-    for n, b in rows:
-        c = n[j]
+    pos, neg, out = [], [], []
+    for r in rows:
+        c = r[j]
         if c > 0:
-            pos.append((n, b))
+            pos.append(r)
         elif c < 0:
-            neg.append((n, b))
+            neg.append(r)
         else:
-            zero.append((n, b))
-    out = list(zero)
-    for (np_, bp) in pos:
-        for (nn, bn) in neg:
-            # (-nn[j]) * (np_, bp) + np_[j] * (nn, bn): the x_j terms cancel
-            lam_p, lam_n = -nn[j], np_[j]
-            normal = np_.scale(lam_p) + nn.scale(lam_n)
-            rhs = lam_p * bp + lam_n * bn
-            out.append((normal, rhs))
-    return _dedupe_rows(out)
+            out.append(r)
+    for p in pos:
+        cp = p[j]
+        for q in neg:
+            # -q[j] * p + p[j] * q: the x_j terms cancel
+            cq = -q[j]
+            out.append(tuple([cq * a + cp * b for a, b in zip(p, q)]))
+    # direction -> (row, g) with g the gcd of the row's normal
+    best: dict[tuple[int, ...], tuple[tuple[int, ...], int]] = {}
+    for r in out:
+        normal, b = r[:-1], r[-1]
+        g = gcd(*normal)
+        if g == 0:
+            # 0 <= b: only the sign of b matters
+            r, key, g = normal + ((b > 0) - (b < 0),), normal, 1
+        else:
+            key = tuple([x // g for x in normal]) if g > 1 else normal
+            h = gcd(g, b)
+            if h > 1:
+                r, g = tuple([x // h for x in r]), g // h
+        seen = best.get(key)
+        # rhs per unit of the direction is b / g; compare by cross-multiplying
+        if seen is None or r[-1] * seen[1] < seen[0][-1] * g:
+            best[key] = (r, g)
+    return [r for r, _ in best.values()]
 
 
 def coordinate_bounds(
@@ -238,28 +261,30 @@ def coordinate_bounds(
     """Exact range of x_j over P: None when P is empty, else (lower, upper)
     with None for an unbounded side.
 
-    This is the one Fourier-Motzkin loop of the package: every variable but
-    x_j is eliminated in increasing index order, stopping early once a row
-    reads 0 <= negative.  The input rows are not deduped first: fm_eliminate
-    dedupes what it produces, so its output is the same either way, and a
-    one-dimensional P is read in a single pass.
+    This is the one Fourier-Motzkin loop of the package: the rows of P are
+    converted to integer rows once, every variable but x_j is eliminated in
+    increasing index order, stopping early once a row reads 0 <= negative,
+    and the bounds are read back as fractions.  The input rows are not
+    deduped first: fm_eliminate dedupes what it produces, so its output is
+    the same either way, and a one-dimensional P is read in a single pass.
     """
-    rows = P.rows
+    rows = [_primitive_ints(normal.coords + (rhs,)) for normal, rhs in P.rows]
+    infeasible = (0,) * P.dim + (-1,)
     for k in range(P.dim):
         if k == j:
             continue
-        if any(b < 0 and n.is_zero() for n, b in rows):
+        if infeasible in rows:
             return None
         rows = fm_eliminate(rows, k)
     lo: Optional[Fraction] = None
     hi: Optional[Fraction] = None
-    for normal, rhs in rows:
-        c = normal[j]
+    for r in rows:
+        c, b = r[j], r[-1]
         if c == 0:
-            if rhs < 0:
+            if b < 0:
                 return None
             continue
-        bound = rhs / c
+        bound = Fraction(b, c)
         if c > 0:
             if hi is None or bound < hi:
                 hi = bound

@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
-from typing import Any, Sequence
+from typing import Any
 
 from .bodies import SDescriptor, SFreeBody, body_from_facets, body_from_vertices_2d
 from .errors import ParseError
@@ -165,13 +165,3 @@ def tableau_from_doc(doc: dict) -> tuple[RationalVec, list[tuple[str, str, Ratio
         out.append((str(name), kind, ray))
     return f, out
 
-
-def tableau_to_doc(f: RationalVec, columns: Sequence[tuple[str, str, RationalVec]]) -> dict:
-    return {
-        "kind": "tableau_row",
-        "f": format_vec(f),
-        "columns": [
-            {"name": name, "kind": kind, "ray": format_vec(ray)}
-            for name, kind, ray in columns
-        ],
-    }

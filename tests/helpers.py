@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import random
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Optional
 
 from hypothesis import strategies as st
@@ -176,6 +176,36 @@ def oracle_pi_star_grid(
     if best_num is None:
         return None, None
     return Fraction(best_num, best_den), best_arg
+
+
+def _reference_canonical_row(normal: RationalVec, rhs: Fraction) -> tuple:
+    """Scale a row by a positive rational so the normal is primitive
+    integral; a zero normal gets rhs in {-1, 0, 1}."""
+    if normal.is_zero():
+        return normal, Fraction((rhs > 0) - (rhs < 0))
+    den = lcm(*(c.denominator for c in normal.coords))
+    s = Fraction(den, gcd(*(int(c * den) for c in normal.coords)))
+    return normal.scale(s), rhs * s
+
+
+def reference_fm_eliminate(rows, j: int) -> list:
+    """Fourier-Motzkin elimination of x_j over ``Fraction`` rows
+    ``(RationalVec, Fraction)``: the zero-coefficient rows, then every
+    pos x neg combination, canonicalized, keeping per normal direction the
+    first position and the tightest rhs."""
+    pos = [(n, b) for n, b in rows if n[j] > 0]
+    neg = [(n, b) for n, b in rows if n[j] < 0]
+    out = [(n, b) for n, b in rows if n[j] == 0]
+    for np_, bp in pos:
+        for nn, bn in neg:
+            lam_p, lam_n = -nn[j], np_[j]
+            out.append((np_.scale(lam_p) + nn.scale(lam_n), lam_p * bp + lam_n * bn))
+    best: dict = {}
+    for normal, rhs in out:
+        n, b = _reference_canonical_row(normal, rhs)
+        if n.coords not in best or b < best[n.coords]:
+            best[n.coords] = b
+    return [(RationalVec(k), b) for k, b in best.items()]
 
 
 @st.composite

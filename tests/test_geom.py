@@ -1,6 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -20,9 +21,9 @@ from liftgeo import (
     vertices_2d,
 )
 from liftgeo.errors import DimensionError, EmptyInputError, UnboundedInputError
-from liftgeo.geom import coordinate_bounds, irredundant
+from liftgeo.geom import _primitive_ints, coordinate_bounds, fm_eliminate, irredundant
 
-from helpers import small_systems
+from helpers import reference_fm_eliminate, small_systems
 
 
 def rows(*items):
@@ -266,3 +267,79 @@ def test_linear_max_matches_vertex_oracle(P, data):
 @given(small_systems())
 def test_is_empty_matches_vertex_oracle(P):
     assert P.is_empty() == (not _box_vertices(P, ORACLE_BOX))
+
+
+# ---------------------------------------------------------------------------
+# The integer-row kernel against the Fraction elimination it replaced.  Both
+# keep, per primitive normal direction, the first position and the tightest
+# rhs, so the projected systems agree row by row, in order.
+# ---------------------------------------------------------------------------
+
+
+def _int_rows(rows):
+    return [_primitive_ints(n.coords + (b,)) for n, b in rows]
+
+
+def _canonical_rows(int_rows):
+    """(primitive normal, rhs) of integer rows, checking the row invariant:
+    integral with gcd 1, and rhs in {-1, 0, 1} for a zero normal."""
+    out = []
+    for r in int_rows:
+        assert all(type(x) is int for x in r)
+        normal, b = r[:-1], r[-1]
+        g = gcd(*normal)
+        if g == 0:
+            assert b in (-1, 0, 1)
+            out.append((RationalVec.from_seq(normal), F(b)))
+        else:
+            assert gcd(g, b) == 1
+            out.append((RationalVec.from_seq(x // g for x in normal), F(b, g)))
+    return out
+
+
+def _assert_kernel_matches_reference(P):
+    for j in range(P.dim):
+        got = fm_eliminate(_int_rows(P.rows), j)
+        assert _canonical_rows(got) == reference_fm_eliminate(P.rows, j)
+    rows, ref = _int_rows(P.rows), list(P.rows)
+    for j in range(P.dim):
+        rows, ref = fm_eliminate(rows, j), reference_fm_eliminate(ref, j)
+        assert _canonical_rows(rows) == ref
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_systems())
+def test_fm_eliminate_matches_fraction_reference(P):
+    _assert_kernel_matches_reference(P)
+
+
+def test_fm_eliminate_large_coefficients():
+    big = 10 ** 12
+    a = RationalVec.of(F(big + 39, big - 11), F(-7, big + 3), F(1, 3))
+    b = RationalVec.of(F(-5, 2), F(big - 1, big + 61), F(-(big + 7), big))
+    c = RationalVec.of(F(3, big + 9), F(-2), F(big + 1, 5))
+    P = HPolyhedron.from_rows(
+        [
+            (a, F(big + 5, big - 3)),
+            (b, F(-1, big + 13)),
+            (c, F(7, 3)),
+            # the same directions again, scaled, one tighter and one looser
+            (a.scale(F(big - 17, 4)), F(big - 17, 4)),
+            (b.scale(F(3, big + 1)), F(1, big)),
+            (RationalVec.of(1, 1, 1), F(big + 1, big)),
+            (RationalVec.of(-1, 0, -1), F(big - 3, big + 2)),
+            (RationalVec.of(0, -1, 0), F(5, 1)),
+            (RationalVec.zero(3), F(1, big)),
+        ],
+        3,
+    )
+    _assert_kernel_matches_reference(P)
+    for j in range(3):
+        ref = list(P.rows)
+        for k in range(3):
+            if k != j:
+                ref = reference_fm_eliminate(ref, k)
+        assert all(b >= 0 for n, b in ref if n.is_zero())
+        hi = min((b / n[j] for n, b in ref if n[j] > 0), default=None)
+        lo = max((b / n[j] for n, b in ref if n[j] < 0), default=None)
+        assert coordinate_bounds(P, j) == (lo, hi)
